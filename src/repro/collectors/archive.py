@@ -33,7 +33,7 @@ from repro.bgp.path import ASPath
 from repro.collectors.collector import CollectorProject
 from repro.mrt.decoder import MRTDecoder
 from repro.mrt.encoder import MRTEncoder
-from repro.mrt.records import BGP4MPMessage, PeerIndexTable, RIBEntryRecord
+from repro.mrt.records import BGP4MPMessage, MRTDecodeError, PeerIndexTable, RIBEntryRecord
 from repro.topology.generator import Topology
 from repro.topology.routing import ValleyFreePath
 from repro.usage.propagation import CommunityPropagator
@@ -231,40 +231,47 @@ def iter_observations_from_mrt(blob: bytes, collector: str) -> Iterator[RouteObs
 
     Records are decoded on demand, so a multi-gigabyte archive can be
     streamed through the sanitizer (or the streaming engine) without ever
-    materialising the full observation list.
+    materialising the full observation list.  RIB entries become
+    observations directly, their peer index resolved against the dump's
+    PEER_INDEX_TABLE.  A malformed archive raises
+    :class:`~repro.mrt.records.MRTDecodeError` and nothing else.
     """
-    decoder = MRTDecoder(blob)
     peer_table: Optional[PeerIndexTable] = None
-    for record in decoder:
-        if isinstance(record, PeerIndexTable):
-            peer_table = record
-        elif isinstance(record, RIBEntryRecord):
+    # RouteObservation fields are passed positionally -- (collector, peer_asn,
+    # prefix, path, communities, timestamp, from_rib) -- because keyword
+    # arguments cost a measurable share of the per-event decode time.
+    for record in MRTDecoder(blob):
+        if isinstance(record, RIBEntryRecord):
             if peer_table is None:
-                raise ValueError("RIB record before PEER_INDEX_TABLE")
-            for entry in record.to_rib_entries(peer_table):
+                raise MRTDecodeError("RIB record before PEER_INDEX_TABLE")
+            for entry in record.entries:
+                attributes = entry.attributes
                 yield RouteObservation(
-                    collector=collector,
-                    peer_asn=entry.peer_asn,
-                    prefix=entry.prefix,
-                    path=entry.as_path,
-                    communities=entry.communities,
-                    timestamp=entry.timestamp,
-                    from_rib=True,
+                    collector,
+                    peer_table.peer_asn(entry.peer_index),
+                    record.prefix,
+                    attributes.as_path,
+                    attributes.communities,
+                    entry.originated_time or record.timestamp,
+                    True,
                 )
         elif isinstance(record, BGP4MPMessage) and record.update is not None:
             update = record.update
             if update.attributes is None:
                 continue
+            attributes = update.attributes
             for prefix in update.announced:
                 yield RouteObservation(
-                    collector=collector,
-                    peer_asn=update.peer_asn,
-                    prefix=prefix,
-                    path=update.attributes.as_path,
-                    communities=update.attributes.communities,
-                    timestamp=update.timestamp,
-                    from_rib=False,
+                    collector,
+                    update.peer_asn,
+                    prefix,
+                    attributes.as_path,
+                    attributes.communities,
+                    update.timestamp,
+                    False,
                 )
+        elif isinstance(record, PeerIndexTable):
+            peer_table = record
 
 
 def iter_observation_blocks_from_mrt(

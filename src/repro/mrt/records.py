@@ -1,4 +1,4 @@
-"""Dataclasses describing decoded MRT records."""
+"""Dataclasses describing decoded MRT records, and the decode error type."""
 
 from __future__ import annotations
 
@@ -9,6 +9,15 @@ from repro.bgp.asn import ASN
 from repro.bgp.messages import BGPUpdate, PathAttributes, RIBEntry
 from repro.bgp.prefix import Prefix
 from repro.mrt.constants import BGP4MPSubtype, MRTType
+
+
+class MRTDecodeError(ValueError):
+    """Raised when the byte stream violates the MRT / BGP wire format.
+
+    The only error type decoding an archive may raise: truncation, unknown
+    types and subtypes, and references no record resolves (a RIB entry's
+    peer index outside its PEER_INDEX_TABLE) all surface as this.
+    """
 
 
 @dataclass(frozen=True)
@@ -38,6 +47,14 @@ class PeerIndexTable(MRTRecord):
     view_name: str = ""
     peers: Tuple[PeerEntry, ...] = ()
 
+    def peer_asn(self, peer_index: int) -> ASN:
+        """The ASN of the peer at *peer_index*, as a RIB entry refers to it."""
+        if not 0 <= peer_index < len(self.peers):
+            raise MRTDecodeError(
+                f"peer index {peer_index} outside the PEER_INDEX_TABLE of {len(self.peers)} peers"
+            )
+        return self.peers[peer_index].peer_asn
+
 
 @dataclass(frozen=True)
 class RIBAfiEntry:
@@ -64,10 +81,9 @@ class RIBEntryRecord(MRTRecord):
         """
         result: List[RIBEntry] = []
         for entry in self.entries:
-            peer = peer_table.peers[entry.peer_index]
             result.append(
                 RIBEntry(
-                    peer_asn=peer.peer_asn,
+                    peer_asn=peer_table.peer_asn(entry.peer_index),
                     prefix=self.prefix,
                     attributes=entry.attributes,
                     timestamp=entry.originated_time or self.timestamp,

@@ -411,10 +411,10 @@ class TestColumnarStreamProperties:
             assert packed.state_dict(as_values) == store.state_dict()
 
 
-class TestDecoderZeroCopyProperties:
+class TestDecoderInputTypeProperties:
     @settings(max_examples=25, suppress_health_check=[HealthCheck.too_slow])
     @given(as_paths, community_sets, st.lists(ipv4_prefixes, min_size=1, max_size=3, unique=True))
-    def test_zero_copy_decode_matches_copying_decode(self, path, communities_set, prefixes):
+    def test_decode_is_independent_of_input_type(self, path, communities_set, prefixes):
         update = BGPUpdate(
             peer_asn=path.peer,
             timestamp=1621382400,
@@ -422,4 +422,7 @@ class TestDecoderZeroCopyProperties:
             attributes=PathAttributes(as_path=path, communities=communities_set),
         )
         blob = encode_records([path.peer], updates=[update])
-        assert decode_records(blob, zero_copy=True) == decode_records(blob, zero_copy=False)
+        records = decode_records(blob)
+        assert records[-1].update == update
+        assert decode_records(bytearray(blob)) == records
+        assert decode_records(memoryview(blob)) == records
